@@ -43,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use moara_attributes::Value;
 use moara_bench::BenchReport;
-use moara_daemon::{ctrl_roundtrip, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
+use moara_daemon::{ctrl_roundtrip, CtrlReply, CtrlRequest, Daemon, DaemonOpts, Waker};
 use moara_gateway::CacheConfig;
 
 struct Scale {
@@ -67,16 +67,16 @@ fn free_port() -> SocketAddr {
         .unwrap()
 }
 
-/// Boots one daemon on its own thread; returns (ctrl addr, http addr).
-/// The thread serves until `stop` flips, then shuts the daemon down —
-/// so a finished cluster's event loops don't keep stealing CPU from
-/// the next measured pass.
+/// Boots one daemon on its own thread; returns (ctrl addr, http addr,
+/// loop waker). The thread serves until `stop` flips (and the waker
+/// fires), then shuts the daemon down — so a finished cluster's event
+/// loops don't keep stealing CPU from the next measured pass.
 fn boot_daemon(
     join: Option<String>,
     service_x: bool,
     cache: Option<CacheConfig>,
     stop: Arc<AtomicBool>,
-) -> (SocketAddr, SocketAddr) {
+) -> (SocketAddr, SocketAddr, Waker) {
     let listen = free_port();
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
@@ -94,10 +94,14 @@ fn boot_daemon(
             ..DaemonOpts::new(listen)
         })
         .expect("daemon boots");
-        tx.send((d.ctrl_addr(), d.http_addr().expect("gateway enabled")))
-            .expect("report addrs");
+        tx.send((
+            d.ctrl_addr(),
+            d.http_addr().expect("gateway enabled"),
+            d.waker(),
+        ))
+        .expect("report addrs");
         while !stop.load(Ordering::Relaxed) {
-            d.step(Duration::from_millis(2));
+            d.step();
         }
         d.shutdown();
     });
@@ -276,6 +280,7 @@ fn run_pass(
 struct Fleet {
     https: Vec<SocketAddr>,
     stop: Arc<AtomicBool>,
+    wakers: Vec<Waker>,
 }
 
 impl Fleet {
@@ -283,6 +288,9 @@ impl Fleet {
     /// exit, so the next cluster measures on a quiet machine.
     fn retire(self) {
         self.stop.store(true, Ordering::Relaxed);
+        for w in &self.wakers {
+            w.wake();
+        }
         std::thread::sleep(Duration::from_millis(50));
     }
 }
@@ -291,19 +299,25 @@ impl Fleet {
 /// convergence.
 fn boot_cluster(daemons: usize, cache: Option<CacheConfig>) -> Fleet {
     let stop = Arc::new(AtomicBool::new(false));
-    let (seed_ctrl, seed_http) = boot_daemon(None, true, cache.clone(), stop.clone());
+    let (seed_ctrl, seed_http, seed_waker) = boot_daemon(None, true, cache.clone(), stop.clone());
     let mut https = vec![seed_http];
+    let mut wakers = vec![seed_waker];
     for i in 1..daemons {
-        let (_ctrl, http) = boot_daemon(
+        let (_ctrl, http, waker) = boot_daemon(
             Some(seed_ctrl.to_string()),
             i % 2 == 0,
             cache.clone(),
             stop.clone(),
         );
         https.push(http);
+        wakers.push(waker);
     }
     wait_members(seed_ctrl, daemons as u32);
-    Fleet { https, stop }
+    Fleet {
+        https,
+        stop,
+        wakers,
+    }
 }
 
 /// The default profile's hot query (the simple-predicate walk the bench

@@ -95,7 +95,6 @@
 
 use std::net::ToSocketAddrs;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
 
 use moara_core::{MoaraConfig, ProbeCachePolicy};
 use moara_daemon::{parse_attrs, Daemon, DaemonOpts};
@@ -119,7 +118,11 @@ const USAGE: &str = "usage: moarad --listen IP:PORT [--join IP:PORT] \
 
 /// Flipped by the SIGINT/SIGTERM handler; the main loop notices and
 /// shuts down gracefully. A store is all the handler does — the only
-/// async-signal-safe thing it could do.
+/// async-signal-safe thing it could do — so it cannot wake the loop.
+/// The loop sleeps only until its next duty, and the once-a-second
+/// health sample is always armed, so the flag is seen within 1 s; then
+/// `shutdown` flushes for 0.3 s. SIGTERM to exit measured 0.33–1.0 s on
+/// an idle daemon (2-core x86 VM).
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
 extern "C" fn on_signal(_sig: i32) {
@@ -409,7 +412,7 @@ fn main() {
     );
     let mut last_members = daemon.member_count();
     loop {
-        daemon.step(Duration::from_millis(5));
+        daemon.step();
         if SHUTDOWN.load(Ordering::SeqCst) {
             daemon.shutdown();
             println!("MOARAD shutdown");

@@ -40,7 +40,7 @@ pub struct HealthSummary {
     pub incarnation: u64,
     /// Seconds since the daemon booted.
     pub uptime_s: u64,
-    /// Event-loop tick work-time p99 in microseconds (poll wait
+    /// Event-loop tick work-time p99 in microseconds (sleep
     /// excluded), the single best "is this daemon degrading" number.
     pub tick_p99_us: u64,
     /// Ticks whose work time crossed `--stall-threshold-ms` since boot.

@@ -58,7 +58,7 @@ use moara_attributes::Value;
 use moara_core::{DeliveryPolicy, Directory, MoaraConfig, MoaraMsg, MoaraNode, SubUpdate};
 use moara_dht::Id;
 use moara_gateway::{
-    CacheConfig, GatewayHandle, GatewayOpts, GwJob, GwReply, GwRequest, MetricsRegistry,
+    CacheConfig, GatewayHandle, GatewayOpts, GwJob, GwReply, GwRequest, JobSender, MetricsRegistry,
     QueryCache, ReplySink, WatchPolicy,
 };
 use moara_membership::{SwimConfig, SwimDetector, SwimEvent, SwimMsg};
@@ -70,6 +70,9 @@ use moara_trace::{
 };
 use moara_transport::{NetCtx, NetProtocol, TcpConfig, TcpTransport, Transport};
 use moara_wire::{read_frame, write_msg, Wire, WireError};
+
+/// Wakes a daemon's event loop from another thread (see [`Daemon::waker`]).
+pub use moara_transport::Waker;
 
 pub mod alerts;
 pub mod health;
@@ -1000,7 +1003,7 @@ pub struct DaemonOpts {
     /// streams are exempt.
     pub gw_idle_timeout_ms: u64,
     /// Event-loop stall watchdog threshold in milliseconds
-    /// (`--stall-threshold-ms`): a tick whose *work* time (poll wait
+    /// (`--stall-threshold-ms`): a tick whose *work* time (sleep
     /// excluded) crosses this counts as stalled — gossiped in the
     /// health digest and watched by the `event_loop_stall` alert.
     pub stall_threshold_ms: u64,
@@ -1088,6 +1091,8 @@ pub fn parse_value(v: &str) -> Value {
 struct CtrlJob {
     req: CtrlRequest,
     reply: Sender<CtrlReply>,
+    /// When the job was queued (times the queue wait).
+    enqueued: Instant,
 }
 
 /// Everyone waiting on one gateway tree walk, plus what the cache needs
@@ -1166,10 +1171,16 @@ pub struct Daemon {
     query_meta: HashMap<u64, (String, Instant, Option<u64>)>,
     /// Queries that crossed the slow-query threshold.
     slow_queries_total: u64,
-    /// Event-loop tick service time (post-poll work per step), µs.
+    /// Event-loop tick service time (work per step, sleep excluded), µs.
     tick_hist: Histogram,
     /// Control + gateway jobs drained per step.
     depth_hist: Histogram,
+    /// Control + gateway job queue wait (enqueue → drained by the loop), µs.
+    job_wait_hist: Histogram,
+    /// The last step did work: the next one does not sleep, so anything
+    /// that work queued for the loop itself is picked up before the loop
+    /// blocks.
+    rerun: bool,
     /// SubDelta receive → fold-finished lag per hop, µs.
     delta_lag_hist: Histogram,
     /// When the daemon booted (uptime, alert `since` stamps).
@@ -1281,6 +1292,7 @@ impl Daemon {
             .local_addr()
             .map_err(|e| format!("control addr: {e}"))?;
         let (ctrl_tx, ctrl_rx) = std::sync::mpsc::channel();
+        let ctrl_tx = waking(ctrl_tx, transport.waker());
         let ctrl_stop = Arc::new(AtomicBool::new(false));
         spawn_ctrl_accept_loop(ctrl_listener, ctrl_tx, Arc::clone(&ctrl_stop));
 
@@ -1393,7 +1405,7 @@ impl Daemon {
                     .map(|cfg| Arc::new(QueryCache::new(cfg)));
                 let handle = moara_gateway::spawn_gateway_opts(
                     listener,
-                    gw_tx,
+                    waking(gw_tx, transport.waker()),
                     GatewayOpts {
                         rate_limit: opts.gw_rate_limit,
                         request_timeout: Duration::from_millis(opts.gw_request_timeout_ms.max(1)),
@@ -1455,6 +1467,8 @@ impl Daemon {
             slow_queries_total: 0,
             tick_hist: Histogram::latency_us(),
             depth_hist: Histogram::depth(),
+            job_wait_hist: Histogram::latency_us(),
+            rerun: false,
             delta_lag_hist: Histogram::latency_us(),
             started: Instant::now(),
             stall_threshold_us: opts.stall_threshold_ms.saturating_mul(1_000).max(1),
@@ -1514,12 +1528,25 @@ impl Daemon {
         self.transport.local_addr(self.me)
     }
 
-    /// Runs one event-loop iteration: pumps the transport, applies
+    /// A handle that wakes this daemon's loop from any thread: a harness
+    /// that stops the loop on a flag sets the flag, then wakes.
+    pub fn waker(&self) -> Waker {
+        self.transport.waker()
+    }
+
+    /// Runs one event-loop iteration: sleeps until work arrives (a peer
+    /// frame, a control or gateway job — each wakes the transport inbox)
+    /// or the next transport timer or daemon duty falls due, then applies
     /// membership updates, serves control requests, finishes queries.
     /// Returns true if anything happened.
-    pub fn step(&mut self, max_wait: Duration) -> bool {
-        let mut did = self.transport.pump(max_wait);
-        // Tick timing starts after the poll: it measures how long one
+    pub fn step(&mut self) -> bool {
+        let wait = if self.rerun {
+            Duration::ZERO
+        } else {
+            self.next_duty_in()
+        };
+        let mut did = self.transport.pump(wait);
+        // Tick timing starts after the sleep: it measures how long one
         // loop iteration's *work* takes, not how long the loop idled.
         let tick_start = Instant::now();
         did |= self.apply_pending_membership();
@@ -1534,8 +1561,7 @@ impl Daemon {
         // watched here) handed to their watchers: close their lag spans.
         let stamps = std::mem::take(&mut self.transport.node_mut(self.me).pending_delta_stamps);
         for stamp in stamps {
-            self.delta_lag_hist
-                .observe(u64::try_from(stamp.elapsed().as_micros()).unwrap_or(u64::MAX));
+            self.delta_lag_hist.observe(micros_since(stamp));
         }
         // Gossiped peer digests pumped this step move into the health
         // table with an arrival stamp (staleness is judged against it).
@@ -1549,8 +1575,7 @@ impl Daemon {
         // Keep the transport's undeliverable log bounded (it grows on
         // every send to a dead peer, and this loop runs forever).
         self.undeliverable_total += self.transport.take_undeliverable().len() as u64;
-        if self.is_seed && self.members.len() > 1 && self.last_announce.elapsed() >= ANNOUNCE_EVERY
-        {
+        if self.announces() && self.last_announce.elapsed() >= ANNOUNCE_EVERY {
             self.broadcast_membership();
         }
         // Maintenance timer: self-sample into the gossiped digest, feed
@@ -1574,7 +1599,7 @@ impl Daemon {
             }
         }
         self.depth_hist.observe((ctrl_jobs + gw_jobs) as u64);
-        let tick_us = u64::try_from(tick_start.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let tick_us = micros_since(tick_start);
         self.tick_hist.observe(tick_us);
         if tick_us >= self.stall_threshold_us {
             self.stalled_ticks += 1;
@@ -1592,7 +1617,36 @@ impl Daemon {
                 self.recorder.write_dump("crash-stall", ts);
             }
         }
+        self.rerun = did;
         did
+    }
+
+    /// How long the loop may sleep before a periodic duty falls due.
+    /// Only armed duties count: a duty that `step` skips (keepalive
+    /// without watches, sweep without a cache, announce without peers)
+    /// never advances its stamp, so counting it would spin the loop.
+    fn next_duty_in(&self) -> Duration {
+        let watching = !(self.watch_streams.is_empty() && self.gw_watch_streams.is_empty());
+        let due = [
+            Some(self.last_health_sample + HEALTH_SAMPLE_EVERY),
+            watching.then(|| self.last_keepalive + WATCH_KEEPALIVE_EVERY),
+            self.query_cache
+                .is_some()
+                .then(|| self.last_cache_sweep + CACHE_SWEEP_EVERY),
+            self.announces()
+                .then(|| self.last_announce + ANNOUNCE_EVERY),
+        ]
+        .into_iter()
+        .flatten()
+        .min()
+        .expect("the health duty is always armed");
+        due.saturating_duration_since(Instant::now())
+    }
+
+    /// Seed only, and only once there is someone to tell: the periodic
+    /// member-list re-broadcast is armed.
+    fn announces(&self) -> bool {
+        self.is_seed && self.members.len() > 1
     }
 
     /// Total sends dropped because their peer was unreachable or dead.
@@ -1618,7 +1672,7 @@ impl Daemon {
     /// Runs the daemon loop forever (the `moarad` main).
     pub fn run_forever(&mut self) -> ! {
         loop {
-            self.step(Duration::from_millis(5));
+            self.step();
         }
     }
 
@@ -1916,6 +1970,7 @@ impl Daemon {
         let mut jobs = 0;
         while let Ok(job) = self.ctrl_rx.try_recv() {
             jobs += 1;
+            self.job_wait_hist.observe(micros_since(job.enqueued));
             match job.req {
                 CtrlRequest::Join {
                     addr,
@@ -2550,10 +2605,8 @@ impl Daemon {
                 // not included — the reactor shards never learn trace
                 // ids, so this daemon-side view is the linkable one).
                 if let Some((_, submitted, Some(tid))) = &meta {
-                    self.gw_latency_exemplars.observe(
-                        u64::try_from(submitted.elapsed().as_micros()).unwrap_or(u64::MAX),
-                        *tid,
-                    );
+                    self.gw_latency_exemplars
+                        .observe(micros_since(*submitted), *tid);
                 }
                 let result = outcome.result.to_string();
                 for (reply, marker) in w.waiters {
@@ -2737,6 +2790,7 @@ impl Daemon {
             }
         }
         for job in jobs {
+            self.job_wait_hist.observe(micros_since(job.enqueued));
             match job.req {
                 GwRequest::Query { q } => {
                     // Single-flight: an identical query already walking
@@ -3326,12 +3380,13 @@ impl Daemon {
             }
         }
 
-        // Event-loop profile: how long each tick works and how many
-        // control/gateway jobs it drains. Tick time excludes the poll
-        // wait, so an idle daemon shows a flat, tiny distribution.
+        // Event-loop profile: how long each tick works, how many
+        // control/gateway jobs it drains, and how long those jobs sat
+        // queued. Tick time excludes the sleep between ticks, so an idle
+        // daemon shows a flat, tiny distribution.
         reg.histogram(
             "moara_event_loop_tick_us",
-            "Per-tick event-loop work time in microseconds (poll wait excluded).",
+            "Per-tick event-loop work time in microseconds (sleep excluded).",
             self.tick_hist.bounds(),
             &self.tick_hist.cumulative(),
             self.tick_hist.sum(),
@@ -3344,6 +3399,14 @@ impl Daemon {
             &self.depth_hist.cumulative(),
             self.depth_hist.sum(),
             self.depth_hist.count(),
+        );
+        reg.histogram(
+            "moara_event_loop_job_wait_us",
+            "Control-plane plus gateway job queue wait (enqueue to drain) in microseconds.",
+            self.job_wait_hist.bounds(),
+            &self.job_wait_hist.cumulative(),
+            self.job_wait_hist.sum(),
+            self.job_wait_hist.count(),
         );
         reg.histogram(
             "moara_subscribe_delta_lag_us",
@@ -3466,7 +3529,8 @@ impl Daemon {
         // Give the SubCancel frames a moment to reach the trees.
         let deadline = Instant::now() + Duration::from_millis(300);
         while Instant::now() < deadline {
-            self.transport.pump(Duration::from_millis(10));
+            self.transport
+                .pump(deadline.saturating_duration_since(Instant::now()));
         }
     }
 }
@@ -3789,7 +3853,16 @@ fn resolve(addr: &str) -> Result<SocketAddr, String> {
         .ok_or_else(|| "no address".to_owned())
 }
 
-fn spawn_ctrl_accept_loop(listener: TcpListener, tx: Sender<CtrlJob>, stop: Arc<AtomicBool>) {
+/// A job sender that wakes the daemon loop on every send.
+fn waking<T>(tx: Sender<T>, waker: Waker) -> JobSender<T> {
+    JobSender::new(tx, move || waker.wake())
+}
+
+fn micros_since(t: Instant) -> u64 {
+    u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX)
+}
+
+fn spawn_ctrl_accept_loop(listener: TcpListener, tx: JobSender<CtrlJob>, stop: Arc<AtomicBool>) {
     std::thread::Builder::new()
         .name("moarad-ctrl-accept".into())
         .spawn(move || {
@@ -3812,7 +3885,7 @@ fn spawn_ctrl_accept_loop(listener: TcpListener, tx: Sender<CtrlJob>, stop: Arc<
 /// connection into streaming mode: update frames flow until the client
 /// disconnects (detected by a failed write) or the daemon drops the
 /// stream.
-fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>) {
+fn ctrl_conn_loop(mut stream: TcpStream, tx: JobSender<CtrlJob>) {
     let _ = stream.set_nodelay(true);
     loop {
         let Ok(Some(payload)) = read_frame(&mut stream) else {
@@ -3828,6 +3901,7 @@ fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>) {
             .send(CtrlJob {
                 req,
                 reply: reply_tx,
+                enqueued: Instant::now(),
             })
             .is_err()
         {
@@ -3840,24 +3914,22 @@ fn ctrl_conn_loop(mut stream: TcpStream, tx: Sender<CtrlJob>) {
             loop {
                 match reply_rx.recv_timeout(Duration::from_secs(1)) {
                     // A bare Ok on a watch stream is the daemon's
-                    // keepalive probe: it tests that this thread (and
-                    // therefore the client socket) is still alive, and is
-                    // never forwarded.
-                    Ok(CtrlReply::Ok) => {}
+                    // keepalive (never forwarded). It and a quiet second
+                    // are both cues to probe the socket, so a hung-up
+                    // client releases the stream promptly. The keepalive
+                    // must probe too: it arrives about once a second, so
+                    // the receive timeout alone may never fire.
+                    Ok(CtrlReply::Ok) | Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                        if !moara_gateway::http::socket_alive(&mut stream) {
+                            return;
+                        }
+                    }
                     Ok(reply) => {
                         let stop = matches!(reply, CtrlReply::Error(_));
                         if write_msg(&mut stream, &reply).is_err() || stream.flush().is_err() {
                             return;
                         }
                         if stop {
-                            return;
-                        }
-                    }
-                    Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                        // A quiescent watch emits nothing for long
-                        // stretches; probe the socket so a hung-up
-                        // client releases the stream promptly.
-                        if !moara_gateway::http::socket_alive(&mut stream) {
                             return;
                         }
                     }
@@ -4212,6 +4284,39 @@ mod tests {
         assert!(line.ends_with("\"trace_id\":null}"));
     }
 
+    /// A watcher that hangs up is noticed even when keepalives arrive
+    /// faster than the stream thread's receive timeout: each keepalive
+    /// probes the socket, so the thread ends and drops its receiver,
+    /// which is how the daemon learns to unsubscribe.
+    #[test]
+    fn ctrl_watch_hangup_is_noticed_between_keepalives() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server_side, _) = listener.accept().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let conn = std::thread::spawn(move || {
+            ctrl_conn_loop(server_side, JobSender::new(tx, || {}));
+        });
+        write_msg(
+            &mut client,
+            &CtrlRequest::Watch {
+                text: "SELECT count(*)".into(),
+                policy: DeliveryPolicy::OnChange,
+                lease_us: 1_000_000,
+            },
+        )
+        .unwrap();
+        let job: CtrlJob = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        drop(client);
+        // Keepalives every 100 ms never let the 1 s receive timeout fire.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while job.reply.send(CtrlReply::Ok).is_ok() {
+            assert!(Instant::now() < deadline, "hang-up never noticed");
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        conn.join().unwrap();
+    }
+
     /// A full 3-daemon cluster in one test process (each daemon on its own
     /// thread, like three `moarad` processes on one host) answering the
     /// quickstart query through the control plane.
@@ -4235,7 +4340,7 @@ mod tests {
                 })
                 .expect("daemon boots");
                 loop {
-                    d.step(Duration::from_millis(2));
+                    d.step();
                 }
             })
         };

@@ -29,7 +29,7 @@ fn spawn_daemon(listen: SocketAddr, join: Option<String>, attrs: Vec<(String, Va
         })
         .expect("daemon boots");
         loop {
-            d.step(Duration::from_millis(2));
+            d.step();
         }
     });
 }

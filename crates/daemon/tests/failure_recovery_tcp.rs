@@ -16,7 +16,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use moara_daemon::{ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts};
+use moara_daemon::{
+    ctrl_roundtrip, parse_attrs, CtrlReply, CtrlRequest, Daemon, DaemonOpts, Waker,
+};
 use moara_membership::SwimConfig;
 use moara_simnet::SimDuration;
 
@@ -45,6 +47,7 @@ fn fast_swim() -> SwimConfig {
 /// process).
 struct RunningDaemon {
     stop: Arc<AtomicBool>,
+    waker: Waker,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -53,6 +56,7 @@ impl RunningDaemon {
         let attrs = parse_attrs(attrs).unwrap();
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
+        let (waker_tx, waker_rx) = std::sync::mpsc::channel();
         let thread = std::thread::spawn(move || {
             let mut d = Daemon::start(DaemonOpts {
                 join,
@@ -62,27 +66,27 @@ impl RunningDaemon {
                 ..DaemonOpts::new(listen)
             })
             .expect("daemon boots");
+            waker_tx.send(d.waker()).expect("report waker");
             while !stop2.load(Ordering::SeqCst) {
-                d.step(Duration::from_millis(2));
+                d.step();
             }
         });
         RunningDaemon {
             stop,
+            waker: waker_rx.recv().expect("daemon boots"),
             thread: Some(thread),
         }
     }
 
-    fn kill(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    fn kill(self) {
+        drop(self);
     }
 }
 
 impl Drop for RunningDaemon {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

@@ -197,27 +197,29 @@ fn rate_limit_answers_429_over_real_daemon() {
     }
 }
 
-/// `--gw-request-timeout-ms 1` expires a real query round trip: the
-/// daemon's event loop polls on a multi-millisecond cadence, so a 1 ms
-/// deadline fires and the gateway answers 408.
+/// `--gw-request-timeout-ms 1` expires a real round trip. A query is no
+/// probe for this: the event loop wakes on every job and a one-node walk
+/// takes well under 1 ms. Applying 20 000 attributes in one write keeps
+/// the loop busy for about 10 ms, so that reply lands after the deadline
+/// and the gateway answers 408.
 #[test]
 fn request_deadline_answers_408_over_real_daemon() {
     let (_d, addr) = spawn_moarad(&free_port(), None, &["--gw-request-timeout-ms", "1"]);
-
-    // Fresh query text each attempt (no cache/coalescing short-cuts);
-    // one of a handful of attempts must cross the 1 ms deadline.
-    let mut saw_408 = false;
-    for i in 0..10 {
-        let resp = get(
-            &addr,
-            &format!("/v1/query?q=SELECT%20count(*)%20WHERE%20Attempt%20%3D%20{i}"),
-        );
-        if resp.starts_with("HTTP/1.1 408 ") {
-            saw_408 = true;
-            break;
-        }
-    }
-    assert!(saw_408, "a 1 ms deadline must expire some real round trip");
+    let body = (0..20_000)
+        .map(|i| format!("Bulk{i}={i}"))
+        .collect::<Vec<_>>()
+        .join("&");
+    let resp = http(
+        &addr,
+        &format!(
+            "POST /v1/attrs HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(
+        resp.starts_with("HTTP/1.1 408 "),
+        "a 1 ms deadline must expire a 20k-attribute write: {resp}"
+    );
 }
 
 /// The reactor's reason to exist: one daemon holds 10k idle keep-alive

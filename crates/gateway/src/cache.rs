@@ -500,6 +500,45 @@ mod tests {
         cache.on_update(token, body.to_owned(), true);
     }
 
+    /// The daemon loop learns of queued promotions and demotions only by
+    /// being woken, and the one wake the cache path has is the `GwJob`
+    /// that every lookup miss enqueues. So queueing must happen on misses
+    /// only: a hit, or any of the loop-side calls, must never queue.
+    #[test]
+    fn loop_work_is_queued_only_by_lookup_misses() {
+        let cache = QueryCache::new(cfg(1, 3));
+        let queued = |c: &QueryCache| {
+            let g = c.inner.lock().unwrap();
+            (g.pending_promotions.len(), g.pending_demotions.len())
+        };
+        let now = Instant::now();
+        let mut seed = 7u64;
+        let mut token = 0;
+        for _ in 0..400 {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let q = format!("SELECT count(*) WHERE k{} = 1", (seed >> 33) % 5);
+            let before = queued(&cache);
+            let hit = cache.lookup(&q, now).is_some();
+            if hit {
+                assert_eq!(queued(&cache), before, "a hit queued loop work");
+            }
+            // The loop side, as the daemon drives it; none of it queues.
+            for (key, _) in cache.take_pending_promotions() {
+                token += 1;
+                if cache.promoted(&key, token) {
+                    cache.on_update(token, "1".to_owned(), true);
+                }
+            }
+            let _ = cache.take_pending_demotions();
+            let _ = cache.demote_idle(now);
+            assert_eq!(queued(&cache), (0, 0), "the loop side queued work");
+        }
+        assert!(cache.hits() > 0, "the sequence must exercise hits");
+        assert!(cache.demotions() > 0, "and promoted-entry evictions");
+    }
+
     #[test]
     fn normalization_collapses_whitespace_only() {
         assert_eq!(

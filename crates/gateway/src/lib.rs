@@ -30,8 +30,9 @@
 //! machines — incremental request parsing ([`http`]), buffered response
 //! writes, SSE streaming — so one daemon holds tens of thousands of
 //! keep-alive connections on a handful of threads. Parsed requests
-//! become [`GwRequest`]s pushed as [`GwJob`]s through an MPSC channel
-//! into the daemon's single-threaded event loop; replies return through
+//! become [`GwRequest`]s pushed as [`GwJob`]s through a [`JobSender`]
+//! (an MPSC channel that also wakes the loop) into the daemon's
+//! single-threaded event loop; replies return through
 //! per-shard mailboxes. Cache hits never leave the reactor. In front of
 //! routing sits a small middleware stack ([`middleware`]): per-peer-IP
 //! token-bucket rate limiting (429), per-request deadlines (408), and
@@ -52,5 +53,5 @@ pub use middleware::TokenBuckets;
 pub use server::{
     access_log_line, spawn_gateway, spawn_gateway_opts, AccessLogSink, AtomicHistogram,
     EndpointLatency, GatewayHandle, GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest,
-    ReplySink, SinkClosed, WatchPolicy, LATENCY_BOUNDS_US,
+    JobSender, ReplySink, SinkClosed, WatchPolicy, LATENCY_BOUNDS_US,
 };

@@ -21,8 +21,9 @@
 //!   sweep interval). Cache hits, OPTIONS, routing errors, 429s are
 //!   answered inline on the shard; everything needing protocol state
 //!   crosses the existing [`GwJob`] channel into the daemon's event
-//!   loop, which posts replies back through a per-shard [`Mailbox`]
-//!   whose eventfd wakes the shard immediately;
+//!   loop (the [`JobSender`] wakes the loop on every send), which posts
+//!   replies back through a per-shard [`Mailbox`] whose eventfd wakes
+//!   the shard immediately;
 //! * the **daemon** is unchanged: single-threaded, sole owner of
 //!   protocol state.
 //!
@@ -38,14 +39,13 @@ use std::net::{IpAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::http::{parse_request, HttpResponse, ParseStep};
 use crate::server::{
     endpoint_class, finish_request, render_reply, route, sse_frame, AccessLogSink, GatewayHandle,
-    GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, ReplySink,
+    GatewayOpts, GatewayStats, GwJob, GwReply, GwRequest, JobSender, ReplySink,
 };
 
 /// Raw Linux syscall surface: `epoll` + `eventfd`, no libc crate.
@@ -244,7 +244,7 @@ struct Conn {
 /// the connection map so helpers can borrow a `Conn` mutably alongside
 /// it).
 struct Ctx {
-    tx: Sender<GwJob>,
+    tx: JobSender<GwJob>,
     stats: Arc<GatewayStats>,
     mailbox: Arc<Mailbox>,
     limiter: Option<Arc<crate::middleware::TokenBuckets>>,
@@ -277,7 +277,7 @@ struct Shard {
 /// failures.
 pub(crate) fn spawn_reactor(
     listener: TcpListener,
-    tx: Sender<GwJob>,
+    tx: JobSender<GwJob>,
     opts: GatewayOpts,
 ) -> GatewayHandle {
     let addr = listener.local_addr().expect("gateway listener addr");
@@ -882,18 +882,19 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
                 conn.gen,
                 Arc::clone(&conn.closed),
             );
-            if ctx
-                .tx
-                .send(GwJob {
-                    req: GwRequest::Watch {
-                        q,
-                        policy,
-                        lease_ms,
-                    },
-                    reply: sink,
-                })
-                .is_err()
-            {
+            // Counted before the send: the woken daemon may drain (and
+            // decrement) before this thread runs another instruction.
+            ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
+            let job = GwJob::new(
+                GwRequest::Watch {
+                    q,
+                    policy,
+                    lease_ms,
+                },
+                sink,
+            );
+            if ctx.tx.send(job).is_err() {
+                ctx.stats.queued_jobs.fetch_sub(1, Ordering::Relaxed);
                 ctx.stats.open_streams.fetch_sub(1, Ordering::SeqCst);
                 let response = HttpResponse::error(503, "daemon shut down");
                 finish_request(
@@ -910,7 +911,6 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
                 respond(ctx, conn, response, false, false);
                 return;
             }
-            ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
             conn.phase = Phase::SseAwait(Pending {
                 gen: conn.gen,
                 class: "watch",
@@ -941,8 +941,9 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
             let class = endpoint_class(&gw_req);
             // The materialized-view fast path: a fresh standing result
             // answers right here on the shard — the daemon's event loop
-            // (and its transport-poll cadence) is never entered, which
-            // is what keeps hits sub-millisecond.
+            // is never entered. A miss always enqueues a job below, and
+            // that job's wake is also what gets any promotion or
+            // eviction this lookup queued installed by the loop.
             let cached = match (&gw_req, &ctx.cache) {
                 (GwRequest::Query { q }, Some(c)) => c.lookup(q, started),
                 _ => None,
@@ -972,14 +973,9 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
                 conn.gen,
                 Arc::clone(&conn.closed),
             );
-            if ctx
-                .tx
-                .send(GwJob {
-                    req: gw_req,
-                    reply: sink,
-                })
-                .is_err()
-            {
+            ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
+            if ctx.tx.send(GwJob::new(gw_req, sink)).is_err() {
+                ctx.stats.queued_jobs.fetch_sub(1, Ordering::Relaxed);
                 let response = HttpResponse::error(503, "daemon shut down");
                 finish_request(
                     &ctx.stats,
@@ -995,7 +991,6 @@ fn handle_request(ctx: &Ctx, conn: &mut Conn, req: crate::http::HttpRequest) {
                 respond(ctx, conn, response, false, false);
                 return;
             }
-            ctx.stats.queued_jobs.fetch_add(1, Ordering::Relaxed);
             conn.phase = Phase::Await(Pending {
                 gen: conn.gen,
                 class,

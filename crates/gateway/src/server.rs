@@ -5,8 +5,9 @@
 //! hands nonblocking sockets to a small set of `epoll` shard threads
 //! (`reactor.rs`); each shard drives per-connection state machines that
 //! parse HTTP incrementally, translate requests into [`GwRequest`]s,
-//! and push [`GwJob`]s through an MPSC channel into the daemon's event
-//! loop — protocol state is only ever touched by that single loop.
+//! and push [`GwJob`]s through a [`JobSender`] (an MPSC channel plus the
+//! loop's wake) into the daemon's event loop — protocol state is only
+//! ever touched by that single loop.
 //! Replies come back through a per-shard mailbox (a queue plus an
 //! `eventfd` wake), addressed by connection id and request generation;
 //! `/v1/watch` flips its connection's state machine into a Server-Sent
@@ -29,9 +30,9 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{SendError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::cache::QueryCache;
 use crate::http::{HttpRequest, HttpResponse};
@@ -318,6 +319,60 @@ pub struct GwJob {
     /// Where replies go. For watches the daemon holds this sink for
     /// the life of the subscription.
     pub reply: ReplySink,
+    /// When the job was queued (the daemon times the queue wait).
+    pub enqueued: Instant,
+}
+
+impl GwJob {
+    /// A job stamped as queued now.
+    pub fn new(req: GwRequest, reply: ReplySink) -> GwJob {
+        GwJob {
+            req,
+            reply,
+            enqueued: Instant::now(),
+        }
+    }
+}
+
+/// The sending half of a job queue into the daemon's event loop, bundled
+/// with that loop's wake: [`JobSender::send`] enqueues *and* wakes, so no
+/// producer can leave a job parked until the loop's next deadline.
+/// Generic so the gateway's [`GwJob`]s and the daemon's control jobs
+/// share one sender.
+pub struct JobSender<T> {
+    tx: Sender<T>,
+    wake: Arc<dyn Fn() + Send + Sync>,
+}
+
+impl<T> Clone for JobSender<T> {
+    fn clone(&self) -> JobSender<T> {
+        JobSender {
+            tx: self.tx.clone(),
+            wake: Arc::clone(&self.wake),
+        }
+    }
+}
+
+impl<T> JobSender<T> {
+    /// Pairs a channel with the wake of the loop that drains it.
+    pub fn new(tx: Sender<T>, wake: impl Fn() + Send + Sync + 'static) -> JobSender<T> {
+        JobSender {
+            tx,
+            wake: Arc::new(wake),
+        }
+    }
+
+    /// Enqueues `job` and wakes the draining loop. `Err` hands the job
+    /// back when the receiver is gone (the daemon shut down).
+    ///
+    /// # Errors
+    ///
+    /// The receiving side was dropped.
+    pub fn send(&self, job: T) -> Result<(), SendError<T>> {
+        self.tx.send(job)?;
+        (self.wake)();
+        Ok(())
+    }
 }
 
 /// Bucket upper bounds (microseconds) for the gateway's request-latency
@@ -596,14 +651,14 @@ impl GatewayHandle {
 }
 
 /// Spawns the gateway's acceptor and reactor shards on `listener` with
-/// default options. Jobs flow into `tx`; the daemon's event loop must
-/// drain them (see `Daemon::step`).
+/// default options. Jobs flow into `tx`, which wakes the daemon's event
+/// loop on every send; the loop drains them (see `Daemon::step`).
 ///
 /// # Panics
 ///
 /// Panics if the listener's local address cannot be read, `epoll` setup
 /// fails, or threads cannot spawn — all boot-time process failures.
-pub fn spawn_gateway(listener: TcpListener, tx: Sender<GwJob>) -> GatewayHandle {
+pub fn spawn_gateway(listener: TcpListener, tx: JobSender<GwJob>) -> GatewayHandle {
     spawn_gateway_opts(listener, tx, GatewayOpts::default())
 }
 
@@ -614,7 +669,7 @@ pub fn spawn_gateway(listener: TcpListener, tx: Sender<GwJob>) -> GatewayHandle 
 /// Same boot-time failures as [`spawn_gateway`].
 pub fn spawn_gateway_opts(
     listener: TcpListener,
-    tx: Sender<GwJob>,
+    tx: JobSender<GwJob>,
     opts: GatewayOpts,
 ) -> GatewayHandle {
     crate::reactor::spawn_reactor(listener, tx, opts)
@@ -926,7 +981,8 @@ mod tests {
                 respond(job.req, job.reply);
             }
         });
-        spawn_gateway_opts(listener, tx, opts)
+        // The responder blocks on the receiver: the channel is its wake.
+        spawn_gateway_opts(listener, JobSender::new(tx, || {}), opts)
     }
 
     fn roundtrip(addr: SocketAddr, raw: &str) -> String {
@@ -1738,7 +1794,7 @@ mod tests {
         drop(rx);
         let gw = spawn_gateway_opts(
             listener,
-            tx,
+            JobSender::new(tx, || {}),
             GatewayOpts {
                 access_log: Some(sink),
                 ..GatewayOpts::default()

@@ -13,6 +13,12 @@
 //! [`Transport`] trait's `run_*` methods). Protocol state therefore needs
 //! no locks and no `Send` bound, exactly like the simulator.
 //!
+//! Wake: a host that feeds its event loop from other queues too (the
+//! daemon's control and gateway jobs) takes a [`Waker`] from
+//! [`TcpTransport::waker`]. Firing it drops a marker into the same inbox,
+//! so a `pump` blocked waiting for frames returns at once and the host
+//! drains its queues. One inbox, one wait: the loop never has to poll.
+//!
 //! Time: [`NetCtx::now`] reports real elapsed microseconds since the
 //! transport was created, so `SimTime`/`SimDuration` bookkeeping in
 //! protocol code (timeouts, latencies) carries over unchanged.
@@ -117,6 +123,31 @@ struct Inbound {
     to: u32,
     from: u32,
     bytes: Vec<u8>,
+}
+
+/// What the inbox carries: peer frames, and wake markers from a
+/// [`Waker`] (which are neither messages nor bytes to the counters).
+enum Inbox {
+    Frame(Inbound),
+    Wake,
+}
+
+/// Wakes the thread blocked in [`TcpTransport::pump`] from any thread.
+///
+/// Cheap to clone and to fire. Whatever the firing thread queued before
+/// `wake` is visible to the host once `pump` has taken the marker (the
+/// inbox channel orders the two). Firing after the transport is gone is
+/// a no-op.
+#[derive(Clone)]
+pub struct Waker {
+    tx: Sender<Inbox>,
+}
+
+impl Waker {
+    /// Makes the next (or current) blocking `pump` return promptly.
+    pub fn wake(&self) {
+        let _ = self.tx.send(Inbox::Wake);
+    }
 }
 
 /// Everything the event loop owns besides the nodes themselves, so a node
@@ -387,8 +418,8 @@ impl ReservedListener {
 pub struct TcpTransport<P: NetProtocol> {
     nodes: HashMap<u32, Option<P>>,
     core: TcpCore<P::Msg>,
-    inbox_rx: Receiver<Inbound>,
-    inbox_tx: Sender<Inbound>,
+    inbox_rx: Receiver<Inbox>,
+    inbox_tx: Sender<Inbox>,
     stop: Arc<AtomicBool>,
     next_id: u32,
 }
@@ -565,9 +596,18 @@ where
             .expect("spawn acceptor thread");
     }
 
+    /// A handle that makes a blocked [`TcpTransport::pump`] return (see
+    /// the module docs).
+    pub fn waker(&self) -> Waker {
+        Waker {
+            tx: self.inbox_tx.clone(),
+        }
+    }
+
     /// Fires due timers and delivers queued/incoming frames. Blocks up to
     /// `max_wait` when nothing is immediately ready (bounded by the next
-    /// timer deadline). Returns true if any event was processed.
+    /// timer deadline); a [`Waker`] ends the wait early. Returns true if
+    /// any event was processed — a wake alone is not an event.
     pub fn pump(&mut self, max_wait: Duration) -> bool {
         let mut did = false;
         did |= self.fire_due_timers();
@@ -575,25 +615,38 @@ where
             self.deliver(ib);
             did = true;
         }
-        while let Ok(ib) = self.inbox_rx.try_recv() {
-            self.deliver(ib);
-            did = true;
+        let mut woken = false;
+        while let Ok(item) = self.inbox_rx.try_recv() {
+            if self.take(item) {
+                did = true;
+            } else {
+                woken = true;
+            }
         }
-        if !did && !max_wait.is_zero() {
+        if !did && !woken && !max_wait.is_zero() {
             let wait = match self.core.next_timer_in() {
                 Some(us) => max_wait.min(Duration::from_micros(us)),
                 None => max_wait,
             };
             match self.inbox_rx.recv_timeout(wait) {
-                Ok(ib) => {
-                    self.deliver(ib);
-                    did = true;
-                }
+                Ok(item) => did |= self.take(item),
                 Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => {}
             }
             did |= self.fire_due_timers();
         }
         did
+    }
+
+    /// Handles one inbox item; true for a delivered frame, false for a
+    /// wake marker.
+    fn take(&mut self, item: Inbox) -> bool {
+        match item {
+            Inbox::Frame(ib) => {
+                self.deliver(ib);
+                true
+            }
+            Inbox::Wake => false,
+        }
     }
 
     fn fire_due_timers(&mut self) -> bool {
@@ -678,7 +731,7 @@ where
     }
 }
 
-fn reader_loop(mut stream: TcpStream, my_id: u32, tx: Sender<Inbound>, stop: Arc<AtomicBool>) {
+fn reader_loop(mut stream: TcpStream, my_id: u32, tx: Sender<Inbox>, stop: Arc<AtomicBool>) {
     loop {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -691,11 +744,11 @@ fn reader_loop(mut stream: TcpStream, my_id: u32, tx: Sender<Inbound>, stop: Arc
                 let from =
                     u32::from_le_bytes(payload[..SENDER_HDR].try_into().expect("sized header"));
                 if tx
-                    .send(Inbound {
+                    .send(Inbox::Frame(Inbound {
                         to: my_id,
                         from,
                         bytes: payload[SENDER_HDR..].to_vec(),
-                    })
+                    }))
                     .is_err()
                 {
                     break; // transport dropped
@@ -960,6 +1013,61 @@ mod tests {
             second_elapsed < Duration::from_millis(20).max(first_elapsed / 4),
             "suspect peer must not stall the loop again: first {first_elapsed:?}, second {second_elapsed:?}"
         );
+    }
+
+    #[test]
+    fn wake_markers_are_invisible_to_the_counters() {
+        let mut t: TcpTransport<Echo> = TcpTransport::seeded(9);
+        let a = t.add_node(Echo::default());
+        let waker = t.waker();
+        for _ in 0..3 {
+            waker.wake();
+            assert!(
+                !t.pump(Duration::from_millis(200)),
+                "a wake is not an event"
+            );
+        }
+        assert_eq!(t.stats().total_messages(), 0);
+        assert_eq!(t.stats().total_recv_messages(), 0);
+        assert_eq!(t.stats().total_recv_bytes(), 0);
+        assert_eq!(t.stats().counter("wire_decode_errors"), 0);
+        assert_eq!(t.stats().dropped(), 0);
+        assert_eq!(
+            t.in_flight(),
+            0,
+            "a wake must not settle an in-flight frame"
+        );
+        assert!(t.node(a).got.is_empty());
+        // A real frame after the wakes still counts exactly once.
+        t.with_node(a, |_n, ctx| ctx.send(a, 0));
+        waker.wake();
+        t.run_to_quiescence();
+        assert_eq!(t.node(a).got, vec![(a, 0)]);
+        assert_eq!(t.stats().total_recv_messages(), 1);
+        assert_eq!(t.in_flight(), 0);
+    }
+
+    #[test]
+    fn waker_on_another_thread_ends_a_long_pump_promptly() {
+        let mut t: TcpTransport<Echo> = TcpTransport::seeded(10);
+        t.add_node(Echo::default());
+        let waker = t.waker();
+        let fired = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(100));
+            let at = Instant::now();
+            waker.wake();
+            at
+        });
+        let start = Instant::now();
+        t.pump(Duration::from_secs(30));
+        let returned = Instant::now();
+        let fired = fired.join().unwrap();
+        assert!(
+            returned.duration_since(start) < Duration::from_secs(5),
+            "pump slept through the wake"
+        );
+        let lag = returned.saturating_duration_since(fired);
+        assert!(lag < Duration::from_millis(50), "wake took {lag:?}");
     }
 
     #[test]
